@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
+from repro.catalog.delta import TidSet
 from repro.errors import (
     DuplicateIndexError,
     DuplicateTableError,
@@ -49,8 +50,9 @@ class TableEntry:
     manager: Optional[ComplexObjectManager] = None       # nested tables
     #: subtuple-level temporal storage (versioning == "subtuple")
     temporal_manager: Optional["TemporalObjectManager"] = None
-    #: current top-level tuples, in insertion (= list) order
-    tids: list[TID] = field(default_factory=list)
+    #: current top-level tuples, in insertion order — the one owner of
+    #: that list (every mutation journals into the next COMMIT delta)
+    tids: TidSet = field(default_factory=TidSet)
     #: logically deleted objects still readable via ASOF (subtuple mode)
     history_tids: list[TID] = field(default_factory=list)
     version_store: Optional[VersionStore] = None
@@ -92,6 +94,73 @@ class Catalog:
         # short internal latch: concurrent sessions resolve table/index
         # names while DDL statements mutate the maps
         self._latch = threading.RLock()
+        # commit-delta bookkeeping since the last commit (see
+        # repro.catalog.delta); kept only while journaling, i.e. while a
+        # WAL is attached to log the deltas
+        self._journaling = False
+        self._full: set[str] = set()  # tables needing a full entry
+        self._dropped: list[str] = []
+
+    # -- commit deltas -----------------------------------------------------------
+
+    def start_journal(self) -> None:
+        """Record changes from now on (a WAL was attached).  The caller
+        checkpoints right after, which clears the first delta."""
+        with self._latch:
+            self._journaling = True
+            for entry in self._tables.values():
+                self._attach_journal(entry)
+
+    def _attach_journal(self, entry: TableEntry) -> None:
+        entry.tids.journal = [] if self._journaling else None
+        entry.segment.journal = [] if self._journaling else None
+
+    def note_full(self, entry: TableEntry) -> None:
+        """Log *entry*'s full state at the next commit (a schema change or
+        a state with no delta form)."""
+        if self._journaling:
+            self._full.add(entry.name)
+
+    def delta(self, table_state: Callable[[TableEntry], dict]) -> dict:
+        """The catalog changes since the last commit, as a COMMIT payload;
+        *table_state* serializes one entry in full.  Object- and
+        subtuple-versioned tables log full entries whenever they change
+        (their version-store state has no delta form)."""
+        with self._latch:
+            full: list[dict] = []
+            tables: dict[str, dict] = {}
+            for entry in self._tables.values():
+                name = entry.name
+                tid_ops = entry.tids.journal or ()
+                page_ops = entry.segment.journal or ()
+                if name in self._full or (
+                    entry.versioning is not None and (tid_ops or page_ops)
+                ):
+                    full.append(table_state(entry))
+                elif tid_ops or page_ops:
+                    change: dict = {}
+                    if tid_ops:
+                        change["tids"] = tid_ops
+                    if page_ops:
+                        change["pages"] = page_ops
+                    tables[name] = change
+            payload: dict = {"format": 1, "delta": 1}
+            if self._dropped:
+                payload["dropped"] = self._dropped
+            if full:
+                payload["full"] = full
+            if tables:
+                payload["tables"] = tables
+            return payload
+
+    def clear_delta(self) -> None:
+        """Start the next delta: the last one is durable (committed or
+        folded into a checkpoint)."""
+        with self._latch:
+            for entry in self._tables.values():
+                self._attach_journal(entry)
+            self._full = set()
+            self._dropped = []
 
     # -- tables -------------------------------------------------------------------
 
@@ -100,6 +169,8 @@ class Catalog:
             if entry.name in self._tables:
                 raise DuplicateTableError(f"table {entry.name!r} already exists")
             self._tables[entry.name] = entry
+            self._attach_journal(entry)
+            self.note_full(entry)
 
     def table(self, name: str) -> TableEntry:
         with self._latch:
@@ -118,11 +189,22 @@ class Catalog:
             for index_name in list(entry.indexes):
                 self._index_owner.pop(index_name, None)
             del self._tables[name]
+            self._full.discard(name)
+            if self._journaling:
+                self._dropped.append(name)
             return entry
 
     def tables(self) -> list[TableEntry]:
         with self._latch:
             return list(self._tables.values())
+
+    def reorder(self, names: list[str]) -> None:
+        """List the tables in *names* order (replica apply rebuilds tables
+        by dropping and re-adding them, and keeps the primary's order)."""
+        with self._latch:
+            self._tables = {
+                name: self._tables[name] for name in names if name in self._tables
+            } | self._tables
 
     # -- indexes ----------------------------------------------------------------------
 
@@ -133,13 +215,16 @@ class Catalog:
                 raise DuplicateIndexError(f"index {index_name!r} already exists")
             entry.indexes[index_name] = index
             self._index_owner[index_name] = table_name
+            self.note_full(entry)
 
     def drop_index(self, index_name: str) -> None:
         with self._latch:
             owner = self._index_owner.pop(index_name, None)
             if owner is None:
                 raise UnknownIndexError(f"no index named {index_name!r}")
-            del self._tables[owner].indexes[index_name]
+            entry = self._tables[owner]
+            del entry.indexes[index_name]
+            self.note_full(entry)
 
     def index(self, index_name: str) -> AnyIndex:
         with self._latch:

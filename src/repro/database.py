@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from repro.catalog.catalog import Catalog, TableEntry
+from repro.catalog.delta import TidSet
 from repro.concurrency.locks import LockManager, LockMode
 from repro.errors import (
     AccessPathError,
@@ -217,20 +218,27 @@ class Database:
         if wal_enabled:
             from repro.wal.manager import WalManager
 
-            self.wal = WalManager(
-                self._wal_path,
-                io=wal_io,
-                auto_checkpoint_bytes=wal_auto_checkpoint_bytes,
+            self._attach_wal(
+                WalManager(
+                    self._wal_path,
+                    io=wal_io,
+                    auto_checkpoint_bytes=wal_auto_checkpoint_bytes,
+                )
             )
-            self.buffer.wal = self.wal
-            # A checkpoint right after open truncates the (possibly just
-            # replayed) log and establishes a durable baseline.
-            self.checkpoint()
 
     @property
     def _wal_path(self) -> str:
         assert self._path is not None
         return self._path + ".wal"
+
+    def _attach_wal(self, wal) -> None:
+        """Log every mutation through *wal* from now on.  The checkpoint
+        truncates the (possibly just replayed) log to a full catalog
+        snapshot — the durable baseline later commit deltas fold onto."""
+        self.wal = wal
+        self.buffer.wal = wal
+        self.catalog.start_journal()
+        self.checkpoint()
 
     def _next_timestamp(self, at: Optional[Timestamp]) -> Timestamp:
         from repro.temporal.versions import canonical_timestamp
@@ -417,7 +425,7 @@ class Database:
         except BaseException:
             try:
                 wal.convert_abort()
-                wal.log_commit(self._catalog_state(), self.buffer.image_for_log)
+                self._log_commit()
             except Exception as wal_exc:
                 # the WAL itself failed (e.g. injected crash): poison it so
                 # no later mutation slips past a log that stopped
@@ -425,9 +433,7 @@ class Database:
                 wal.poison(wal_exc)
             raise
         try:
-            needs_checkpoint = wal.log_commit(
-                self._catalog_state(), self.buffer.image_for_log
-            )
+            needs_checkpoint = self._log_commit()
         except BaseException as exc:
             wal.poison(exc)
             raise
@@ -435,6 +441,19 @@ class Database:
             if METRICS.enabled:
                 METRICS.inc("wal.auto_checkpoints")
             self.checkpoint()
+
+    def _log_commit(self) -> bool:
+        """Commit the active WAL transaction with the catalog delta since
+        the last commit (docs/DURABILITY.md).  The delta's journals clear
+        only once the COMMIT record is durable, so a failed scope's
+        convert-abort commit still logs the converged in-memory state.
+        Returns True when an auto-checkpoint is due."""
+        assert self.wal is not None
+        needs_checkpoint = self.wal.log_commit(
+            self.catalog.delta(self._table_state), self.buffer.image_for_log
+        )
+        self.catalog.clear_delta()
+        return needs_checkpoint
 
     def checkpoint(self) -> None:
         """Flush all dirty pages, sync the data file, write the catalog
@@ -452,15 +471,15 @@ class Database:
                 from repro.errors import WalError
 
                 raise WalError("cannot checkpoint inside a transaction")
-            state = self._catalog_state()
             if self.wal.protected_pages:
                 # stray unlogged changes (e.g. direct OpenObject mutation):
                 # fold them into a commit so the flush below is WAL-covered
                 self.wal.begin()
-                self.wal.log_commit(state, self.buffer.image_for_log)
-                state = self._catalog_state()
+                self._log_commit()
+            state = self._catalog_state()
             self.buffer.flush_all()
             self.wal.checkpoint(state)
+            self.catalog.clear_delta()
             self._write_catalog_sidecar(state)
 
     # ======================================================================
@@ -681,7 +700,7 @@ class Database:
         self._lock_table(table, LockMode.X)  # offline migration
         with self._wal_scope():
             rows = [self._fetch(entry, tid).to_plain() for tid in entry.tids]
-            for tid in list(entry.tids):
+            for tid in entry.tids.as_list():
                 self.delete(table, tid)
             if entry.mvcc is not None:
                 # the retained version history was stored under the old
@@ -689,6 +708,7 @@ class Database:
                 # while the old schema is still installed
                 self._purge_mvcc_history(entry)
             entry.schema = new_schema
+            self.catalog.note_full(entry)
             self.schema_epoch += 1  # invalidate compiled statement plans
             if entry.is_flat:
                 entry.heap.schema = new_schema  # type: ignore[union-attr]
@@ -880,6 +900,7 @@ class Database:
                     )
                 else:
                     changes(entry.temporal_manager.mutator(tid, entry.schema, when))
+                entry.tids.note_update(tid)
                 self._index_object(entry, tid)
                 return tid
             if entry.version_store is not None or entry.mvcc is not None:
@@ -889,6 +910,7 @@ class Database:
                     raise ExecutionError("flat tables take a mapping of changes")
                 row = entry.heap.fetch(tid).replace(**changes)  # type: ignore[union-attr]
                 entry.heap.update(tid, row)  # type: ignore[union-attr]
+                entry.tids.note_update(tid)
                 for index in entry.indexes.values():
                     assert isinstance(index, FlatIndex)
                     index.index_row(tid, row[index.definition.attribute_path[0]])
@@ -898,6 +920,7 @@ class Database:
                 obj.update_atoms([], changes)
             else:
                 changes(obj)
+            entry.tids.note_update(tid)
             self._index_object(entry, tid)
             return tid
 
@@ -932,8 +955,7 @@ class Database:
             new_tid = entry.manager.store(entry.schema, new_value)  # type: ignore[union-attr]
             self._index_object(entry, new_tid)
         self._deindex_on_write(entry, tid)
-        position = entry.tids.index(tid)
-        entry.tids[position] = new_tid
+        entry.tids.replace(tid, new_tid)
         self._note_mvcc_delete(entry, tid)
         self._note_mvcc_insert(entry, new_tid)
         if entry.version_store is not None:
@@ -1004,6 +1026,7 @@ class Database:
         axis = timestamp_axis(at)
         if entry.timestamp_axis is None:
             entry.timestamp_axis = axis
+            self.catalog.note_full(entry)
         elif entry.timestamp_axis != axis:
             raise TemporalError(
                 f"cannot stamp a {axis} timestamp {at!r} on table "
@@ -1054,6 +1077,20 @@ class Database:
             obj = entry.manager.open(tid, entry.schema)  # type: ignore[union-attr]
         for index in entry.indexes.values():
             index.index_object(obj)  # NF2Index and TextIndex share this API
+
+    def _reindex(self, entry: TableEntry, tid: TID) -> None:
+        """Re-derive *tid*'s index entries from its stored bytes (replica
+        apply): drop them, and add them back while *tid* is current."""
+        self._deindex(entry, tid)
+        if tid not in entry.tids or not entry.indexes:
+            return
+        if entry.is_flat:
+            row = entry.heap.fetch(tid)  # type: ignore[union-attr]
+            for index in entry.indexes.values():
+                assert isinstance(index, FlatIndex)
+                index.index_row(tid, row[index.definition.attribute_path[0]])
+        else:
+            self._index_object(entry, tid)
 
     def _deindex(self, entry: TableEntry, tid: TID) -> None:
         for index in entry.indexes.values():
@@ -1615,7 +1652,7 @@ class Database:
         if snapshot is not None:
             tids = list(_mvcc_read.snapshot_roots(entry, snapshot))
         else:
-            tids = list(entry.tids)
+            tids = entry.tids.as_list()
         out = []
         for tid in tids:
             row = self._fetch(entry, tid)
@@ -1733,9 +1770,8 @@ class Database:
         lazy = (
             lazy and not entry.is_flat and entry.temporal_manager is None
         )
-        current = set(entry.tids)
         for tid in roots:
-            if tid in current:
+            if tid in entry.tids:
                 # S-lock each candidate object (the paper's local
                 # address space = one root TID) as it streams out
                 # of the planner; the wait may block behind a
@@ -1815,9 +1851,8 @@ class Database:
                     yield self._fetch(entry, root)
             return
         self._lock_table(entry.name, LockMode.IS)
-        current = set(entry.tids)
         for root in roots:
-            if root in current:
+            if root in entry.tids:
                 self._lock_object(entry.name, root, LockMode.S)
                 if root not in entry.tids:
                     continue  # deleted while we waited for the lock
@@ -1827,11 +1862,11 @@ class Database:
         self, entry: TableEntry, asof: Optional[datetime.date]
     ) -> list[TID]:
         if asof is None:
-            return list(entry.tids)
+            return entry.tids.as_list()
         if entry.temporal_manager is not None:
             return [
                 tid
-                for tid in entry.tids + entry.history_tids
+                for tid in entry.tids.as_list() + entry.history_tids
                 if entry.temporal_manager.exists_at(tid, asof)
             ]
         if entry.version_store is None:
@@ -1940,7 +1975,7 @@ class Database:
             return None
         heap = entry.heap
         assert heap is not None
-        tids = list(entry.tids)
+        tids = entry.tids.as_list()
 
         def chunks() -> Iterator[tuple[int, dict[str, list]]]:
             for start in range(0, len(tids), batch):
@@ -1955,7 +1990,7 @@ class Database:
 
     def tids(self, table: str) -> list[TID]:
         """Current top-level TIDs (root MD subtuples / heap tuples)."""
-        return list(self.catalog.table(table).tids)
+        return self.catalog.table(table).tids.as_list()
 
     def open_object(self, table: str, tid: TID) -> OpenObject:
         """Open a complex object for navigation / partial reads.
@@ -2249,52 +2284,53 @@ class Database:
         self._write_catalog_sidecar(state)
 
     def _catalog_state(self) -> dict:
-        """The catalog serialized as plain JSON data (what the sidecar,
-        WAL commit records, and checkpoint records all carry)."""
+        """The full catalog serialized as plain JSON data (what the
+        sidecar and checkpoint records carry; COMMIT records carry deltas
+        against it — see :mod:`repro.catalog.delta`)."""
+        return {
+            "format": 1,
+            "tables": [self._table_state(e) for e in self.catalog.tables()],
+        }
+
+    @staticmethod
+    def _table_state(entry: TableEntry) -> dict:
+        """One catalog entry serialized in full."""
         from repro.model.ddl import schema_to_ddl
 
-        tables = []
-        for entry in self.catalog.tables():
-            indexes = []
-            for name, index in entry.indexes.items():
-                definition = index.definition
-                indexes.append(
-                    {
-                        "name": name,
-                        "path": list(definition.attribute_path),
-                        "text": isinstance(index, TextIndex),
-                        "mode": definition.mode.value,
-                        "fragment_length": getattr(index, "fragment_length", None),
-                        # cost-model statistics ride along (tooling can
-                        # inspect them without opening the trees; reopen
-                        # re-derives exact values while rebuilding)
-                        "stats": index.stats.snapshot(),
-                    }
-                )
-            tables.append(
+        indexes = []
+        for name, index in entry.indexes.items():
+            definition = index.definition
+            indexes.append(
                 {
-                    "ddl": schema_to_ddl(entry.schema),
-                    "versioned": entry.versioned,
-                    "versioning": entry.versioning,
-                    "timestamp_axis": entry.timestamp_axis,
-                    "segment": entry.segment.state(),
-                    "tids": [[t.page, t.slot] for t in entry.tids],
-                    "history_tids": [
-                        [t.page, t.slot] for t in entry.history_tids
-                    ],
-                    "version_store": (
-                        entry.version_store.state()
-                        if entry.version_store is not None
-                        else None
-                    ),
-                    "object_ids": [
-                        [[t.page, t.slot], oid]
-                        for t, oid in entry.object_ids.items()
-                    ],
-                    "indexes": indexes,
+                    "name": name,
+                    "path": list(definition.attribute_path),
+                    "text": isinstance(index, TextIndex),
+                    "mode": definition.mode.value,
+                    "fragment_length": getattr(index, "fragment_length", None),
+                    # cost-model statistics ride along in full snapshots
+                    # (tooling can inspect them without opening the trees;
+                    # reopen re-derives exact values while rebuilding)
+                    "stats": index.stats.snapshot(),
                 }
             )
-        return {"format": 1, "tables": tables}
+        return {
+            "ddl": schema_to_ddl(entry.schema),
+            "versioned": entry.versioned,
+            "versioning": entry.versioning,
+            "timestamp_axis": entry.timestamp_axis,
+            "segment": entry.segment.state(),
+            "tids": entry.tids.pairs(),
+            "history_tids": [[t.page, t.slot] for t in entry.history_tids],
+            "version_store": (
+                entry.version_store.state()
+                if entry.version_store is not None
+                else None
+            ),
+            "object_ids": [
+                [[t.page, t.slot], oid] for t, oid in entry.object_ids.items()
+            ],
+            "indexes": indexes,
+        }
 
     def _write_catalog_sidecar(self, state: dict) -> None:
         """Atomically (and durably) replace the catalog sidecar file."""
@@ -2355,7 +2391,7 @@ class Database:
             entry.heap = HeapFile(segment, schema)
         else:
             entry.manager = ComplexObjectManager(segment, self.structure)
-        entry.tids = [TID(*pair) for pair in table_state["tids"]]
+        entry.tids = TidSet.from_pairs(table_state["tids"])
         entry.history_tids = [
             TID(*pair) for pair in table_state.get("history_tids", [])
         ]
@@ -2477,7 +2513,7 @@ class _Transaction:
         # rollback must not resurrect that older state)
         entry = self._db.catalog.table(table)
         self._snapshots[table] = [
-            self._db._fetch(entry, tid).to_plain() for tid in list(entry.tids)
+            self._db._fetch(entry, tid).to_plain() for tid in entry.tids.as_list()
         ]
 
     def __enter__(self) -> "_Transaction":
@@ -2515,9 +2551,7 @@ class _Transaction:
                         # with memory
                         wal.convert_abort()
                         self.rollback()
-                        wal.log_commit(
-                            db._catalog_state(), db.buffer.image_for_log
-                        )
+                        db._log_commit()
                     except Exception as wal_exc:
                         # WAL failure (e.g. injected crash): poison it so
                         # no later mutation slips past a log that stopped
@@ -2528,9 +2562,7 @@ class _Transaction:
                 return False  # propagate the exception after rolling back
             if wal is not None:
                 try:
-                    needs_checkpoint = wal.log_commit(
-                        db._catalog_state(), db.buffer.image_for_log
-                    )
+                    needs_checkpoint = db._log_commit()
                 except BaseException as exc_:
                     wal.poison(exc_)
                     raise
@@ -2554,7 +2586,7 @@ class _Transaction:
         db = self._db
         for table, rows in self._snapshots.items():
             entry = db.catalog.table(table)
-            for tid in list(entry.tids):
+            for tid in entry.tids.as_list():
                 db.delete(table, tid)
             for row in rows:
                 db.insert(table, row)

@@ -75,7 +75,7 @@ class PartialDML:
                 raise ExecutionError("DML operates on the current state, not ASOF")
             if source.table is not None:
                 entry = self._db.catalog.table(source.table)
-                for tid in list(entry.tids):
+                for tid in entry.tids.as_list():
                     row = self._db._fetch(entry, tid)
                     recurse(
                         index + 1,

@@ -14,7 +14,7 @@ Roles
 **Primary** — :class:`ReplicationHub`, created lazily by the server when
 the first replica connects.  It registers itself as a WAL *shipper*
 (:attr:`~repro.wal.manager.WalManager.shippers`): after every durable
-commit it receives the committed page images and the catalog snapshot
+commit it receives the committed page images and the catalog delta
 the COMMIT record carries, stamps them with a monotonically increasing
 **batch sequence number**, and fans the encoded batch out to every
 attached replica link.  Attach is atomic with commit publication (both
@@ -28,8 +28,9 @@ primary's normal line-protocol port, sends the ``REPLICATE <seq>``
 handshake, and then applies the JSON-lines stream: page images are
 redone through :func:`~repro.wal.recovery.redo_page_image` (the same
 primitive crash recovery uses), the buffer pool drops its stale copies,
-and changed catalog entries are rebuilt from the shipped snapshot.  Each
-applied batch is acknowledged back, which is where the primary's
+and the catalog entries the shipped catalog delta names replay its TID
+and page ops in place (see :func:`apply_batch`).  Each applied batch is
+acknowledged back, which is where the primary's
 ``SYS.REPLICAS`` lag column comes from.  The tailer reconnects with
 backoff until it is stopped or the replica is promoted.
 
@@ -49,7 +50,7 @@ Wire format (after the ``REPLICATE`` handshake the connection leaves the
 ``#<n>`` framing and becomes a JSON-lines stream)::
 
     primary -> replica  {"type": "snapshot", "seq": S, "pages": [[no, b64(zlib(image))], ...], "catalog": {...}}
-    primary -> replica  {"type": "commit",   "seq": S, "pages": [...], "catalog": {...}}
+    primary -> replica  {"type": "commit",   "seq": S, "pages": [...], "catalog": {delta}}
     primary -> replica  {"type": "ping",     "seq": S}
     replica -> primary  {"type": "ack",      "seq": S}
 
@@ -66,6 +67,7 @@ import time
 import zlib
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.catalog.delta import is_delta, op_tids, table_name
 from repro.concurrency.locks import LockMode
 from repro.errors import ConcurrencyError, ExecutionError
 from repro.obs import METRICS
@@ -96,12 +98,6 @@ def _decode_pages(blob) -> list:
 
 def _encode_message(message: dict) -> bytes:
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _table_name(table_state: dict) -> str:
-    # the segment state carries the table name — cheaper than re-parsing
-    # the DDL text for every table in every batch
-    return table_state["segment"]["name"]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ class ReplicationHub:
 
     def publish(self, pages, catalog_state) -> None:
         """The WAL shipper hook: one durable commit's page images +
-        catalog snapshot.  Runs on the committing thread, under the write
+        catalog delta.  Runs on the committing thread, under the write
         latch, *after* the log fsync."""
         self.seq += 1
         links = self.links()
@@ -298,9 +294,6 @@ class ReplicaState:
         self.pages_applied = 0
         self.bytes_received = 0
         self.last_error: Optional[str] = None
-        #: per-table catalog-state fingerprints of the installed catalog;
-        #: apply diffs against it to rebuild only what a batch changed
-        self._table_blobs: dict[str, str] = {}
         self._cond = threading.Condition()
         self._tailer: Optional["ReplicaTailer"] = None
 
@@ -437,7 +430,7 @@ class ReplicaTailer(threading.Thread):
                     METRICS.set_gauge("replication.lag", state.lag)
                 if message["type"] == "ping":
                     continue
-                apply_batch(self.db, state, message)
+                apply_batch(self.db, message)
                 state._note(
                     applied_seq=seq,
                     batches=state.batches + 1,
@@ -458,56 +451,41 @@ class ReplicaTailer(threading.Thread):
                 pass
 
 
-def apply_batch(db: "Database", state: ReplicaState, message: dict) -> None:
+def apply_batch(db: "Database", message: dict) -> None:
     """Redo one shipped batch into the replica.
 
     Page images go straight into the page file (crash recovery's redo
-    primitive) and the buffer pool forgets its stale copies.  Catalog
-    entries are rebuilt only where the batch changed something: where the
-    per-table catalog fingerprint moved (insert/delete/DDL change the TID
-    list or segment state), or where an *indexed* table's pages changed
-    (an in-place UPDATE rewrites page bytes without moving the catalog —
-    the in-memory index must be rebuilt to follow).  Table-``X`` locks on
+    primitive) and the buffer pool forgets its stale copies.  The batch's
+    catalog payload is a full snapshot on attach and a commit delta after
+    (:mod:`repro.catalog.delta`).  A snapshot rebuilds every table.  A
+    delta touches only the tables it names: a table it drops or carries
+    in full (DDL, versioned tables) is dropped or rebuilt from the
+    payload, and a table it carries as TID and page ops replays them on
+    the live entry (the replay crash recovery folds with), re-deriving
+    the index entries of just the TIDs they name.  Table-``X`` locks on
     everything touched keep 2PL readers off half-applied state.
     """
     pages = _decode_pages(message.get("pages", ()))
-    catalog_state = message["catalog"]
-    snapshot = message["type"] == "snapshot"
+    catalog = message["catalog"]
+    if is_delta(catalog):
+        dropped = set(catalog.get("dropped", ()))
+        full = catalog.get("full", [])
+        in_place = catalog.get("tables", {})
+    else:  # a full snapshot replaces every table
+        dropped = {entry.name for entry in db.catalog.tables()}
+        full = catalog["tables"]
+        in_place = {}
+    rebuild = {table_name(ts) for ts in full}
     page_set = {page_no for page_no, _ in pages}
 
-    table_states = {
-        _table_name(ts): ts for ts in catalog_state["tables"]
-    }
-    new_blobs = {
-        name: json.dumps(ts, sort_keys=True)
-        for name, ts in table_states.items()
-    }
-    cached = state._table_blobs
-    if snapshot:
-        rebuild = set(table_states)
-        dropped = {e.name for e in db.catalog.tables()} - set(table_states)
-    else:
-        rebuild = {
-            name
-            for name, blob in new_blobs.items()
-            if cached.get(name) != blob
-        }
-        dropped = set(cached) - set(table_states)
-        for name, ts in table_states.items():
-            if name in rebuild or not ts["indexes"]:
-                continue
-            if page_set.intersection(ts["segment"]["pages"]):
-                rebuild.add(name)
-
     # every table whose pages this batch rewrites must be reader-free
-    # while the new bytes land, indexed or not
-    touched = set(rebuild) | dropped
-    for name, ts in table_states.items():
-        if name not in touched and page_set.intersection(ts["segment"]["pages"]):
-            touched.add(name)
-    touched = {name for name in touched if db.catalog.has_table(name)} | (
-        rebuild & set(table_states)
-    )
+    # while the new bytes land, named or not
+    touched = dropped | rebuild | set(in_place)
+    for entry in db.catalog.tables():
+        if entry.name not in touched and any(
+            entry.segment.owns(page_no) for page_no in page_set
+        ):
+            touched.add(entry.name)
 
     txn = _lock_tables_exclusive(db, sorted(touched))
     db._apply_ctx.active = True
@@ -518,18 +496,27 @@ def apply_batch(db: "Database", state: ReplicaState, message: dict) -> None:
                 db.buffer.invalidate(page_no)
             if METRICS.enabled:
                 METRICS.inc("replication.pages_applied", len(pages))
-            for name in dropped:
-                if db.catalog.has_table(name):
-                    db.catalog.drop_table(name)
-                cached.pop(name, None)
-            for ts in catalog_state["tables"]:
-                name = _table_name(ts)
-                if name in rebuild:
+            for name in touched - rebuild - dropped:
+                entry = db.catalog.table(name)
+                change = in_place.get(name, {})
+                entry.tids.apply(change.get("tids", ()))
+                entry.segment.apply(change.get("pages", ()))
+                entry.segment.refresh_free_space(page_set)
+                for tid in op_tids(change.get("tids", ())):
+                    db._reindex(entry, tid)
+            if dropped or rebuild:
+                # a rebuilt table keeps its place in the primary's order;
+                # a table dropped and re-created moves to the end there too
+                order = [
+                    entry.name for entry in db.catalog.tables()
+                    if entry.name not in dropped
+                ]
+                for name in dropped | rebuild:
                     if db.catalog.has_table(name):
                         db.catalog.drop_table(name)
+                for ts in full:
                     db._restore_table_entry(ts, current_only=True)
-                cached[name] = new_blobs[name]
-            if rebuild or dropped:
+                db.catalog.reorder(order)
                 db.schema_epoch += 1  # compiled plans must re-resolve
     finally:
         db._apply_ctx.active = False
@@ -611,8 +598,6 @@ def promote(db: "Database") -> None:
     if db._path is not None and db.wal is None:
         from repro.wal.manager import WalManager
 
-        db.wal = WalManager(db._wal_path)
-        db.buffer.wal = db.wal
-        db.checkpoint()
+        db._attach_wal(WalManager(db._wal_path))
     if METRICS.enabled:
         METRICS.inc("replication.promotions")

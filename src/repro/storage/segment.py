@@ -33,6 +33,9 @@ from repro.storage.tid import TID
 #: "no next part" marker in chain-part headers
 _NIL_TID = TID(0xFFFFFFFF, 0xFFFF)
 
+#: page ops of a segment's journal (see :mod:`repro.catalog.delta`)
+_FREE, _ALLOCATE = 0, 1
+
 
 class Segment:
     """A page-allocation domain over a shared buffer manager."""
@@ -45,6 +48,9 @@ class Segment:
         self._free_pages: list[int] = []
         #: page -> approximate free bytes
         self._free_map: dict[int, int] = {}
+        #: page ops since the last commit, or None when not journaling:
+        #: ``(1, page)`` allocated, ``(0, page)`` freed
+        self.journal: Optional[list] = None
 
     # -- page management -------------------------------------------------------
 
@@ -74,6 +80,8 @@ class Segment:
             self._buffer.unpin(page_no, dirty=True)
         self._pages.append(page_no)
         self._free_map[page_no] = _usable_space(self._buffer, page_no)
+        if self.journal is not None:
+            self.journal.append((_ALLOCATE, page_no))
         return page_no
 
     def free_page(self, page_no: int) -> None:
@@ -83,6 +91,8 @@ class Segment:
         self._pages.remove(page_no)
         del self._free_map[page_no]
         self._free_pages.append(page_no)
+        if self.journal is not None:
+            self.journal.append((_FREE, page_no))
 
     def owns(self, page_no: int) -> bool:
         return page_no in self._free_map
@@ -357,6 +367,50 @@ class Segment:
         for page_no in segment._pages:
             segment._free_map[page_no] = _usable_space(buffer, page_no)
         return segment
+
+    @staticmethod
+    def replay(state: dict, ops: Iterable) -> dict:
+        """*state* (as :meth:`state` returns it) with journaled page ops
+        applied in order — the segment part of a catalog-delta fold."""
+        pages = list(state["pages"])
+        free_pages = list(state["free_pages"])
+        _replay_page_ops(pages, free_pages, ops)
+        return {**state, "pages": pages, "free_pages": free_pages}
+
+    def apply(self, ops: Iterable) -> None:
+        """Replay journaled page ops on this segment (replica apply follows
+        the primary's allocations this way)."""
+        for op, page_no in _replay_page_ops(self._pages, self._free_pages, ops):
+            if op == _ALLOCATE:
+                self._free_map[page_no] = _usable_space(self._buffer, page_no)
+            else:
+                del self._free_map[page_no]
+
+    def refresh_free_space(self, pages: Iterable[int]) -> None:
+        """Re-read the free space of the owned pages among *pages* (their
+        bytes changed underneath the segment, e.g. by redo)."""
+        for page_no in pages:
+            if page_no in self._free_map:
+                self._free_map[page_no] = _usable_space(self._buffer, page_no)
+
+
+def _replay_page_ops(pages: list, free_pages: list, ops: Iterable) -> list:
+    """Apply page ops to a segment's page and free lists in place, the way
+    :meth:`Segment.allocate_page` and :meth:`Segment.free_page` changed
+    them; return the ops."""
+    ops = list(ops)
+    for op, page_no in ops:
+        if op == _ALLOCATE:
+            # allocate_page recycles from the top of the free list
+            if free_pages and free_pages[-1] == page_no:
+                free_pages.pop()
+            pages.append(page_no)
+        elif op == _FREE:
+            pages.remove(page_no)
+            free_pages.append(page_no)
+        else:
+            raise SegmentError(f"unknown page op {[op, page_no]!r}")
+    return ops
 
 
 def _usable_space(buffer: BufferManager, page_no: int) -> int:

@@ -11,8 +11,9 @@ classic invariants on behalf of the engine:
   on the data file).
 * **log-then-commit** — :meth:`log_commit` appends the after-images of
   every page the transaction dirtied, stamps each frame's pageLSN, appends
-  the ``COMMIT`` record carrying the catalog snapshot, and fsyncs; only
-  after the fsync returns is the commit acknowledged.
+  the ``COMMIT`` record carrying the catalog changes (a delta, see
+  :mod:`repro.catalog.delta`), and fsyncs; only after the fsync returns
+  is the commit acknowledged.
 
 Checkpoints truncate the log: after the caller has flushed all dirty pages
 and synced the data file, :meth:`checkpoint` atomically replaces the log
@@ -130,10 +131,11 @@ class WalManager:
         #: slip past a log that stopped recording — exactly like a real
         #: engine panicking when it cannot write its log.
         self.failure: Optional[BaseException] = None
-        #: log-shipping subscribers: callables ``(pages, catalog_state)``
+        #: log-shipping subscribers: callables ``(pages, catalog)``
         #: invoked after every durable commit with the committed page
         #: after-images ``[(page_no, image), ...]`` and the catalog
-        #: snapshot the COMMIT record carries.  The replication hub
+        #: payload the COMMIT record carries (a delta, or a full
+        #: snapshot).  The replication hub
         #: registers here (see :mod:`repro.replication`).
         self.shippers: list[Callable[[list, Any], None]] = []
         #: cumulative counters (mirrored into METRICS when enabled)
@@ -185,6 +187,8 @@ class WalManager:
     ) -> bool:
         """Make the active transaction durable.
 
+        *catalog_state* is the COMMIT record's JSON payload: the
+        transaction's catalog delta, or a full catalog snapshot.
         *get_image(page_no, lsn)* must stamp *lsn* into the page's header
         and return the page's current bytes.  Returns True when the caller
         should run an auto-checkpoint (log grew past the threshold).

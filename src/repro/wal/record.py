@@ -23,9 +23,10 @@ Record types and payloads:
     ``u32 page_no + u8 codec + image`` — a physiological redo record: the
     full after-image of one page as dirtied by *txn_id* (codec 1 = zlib).
 ``COMMIT``
-    zlib-compressed catalog JSON — the committed catalog snapshot.  Redo
-    replays the page images of committed transactions and installs the
-    newest committed catalog.
+    zlib-compressed catalog JSON — the transaction's catalog delta (see
+    :mod:`repro.catalog.delta`), or a full catalog snapshot.  Redo replays
+    the page images of committed transactions and folds the committed
+    deltas onto the newest full snapshot.
 ``ABORT``
     empty — the transaction's in-memory effects were rolled back; its page
     images (if any) must not be replayed on their own.

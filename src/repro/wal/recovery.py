@@ -15,8 +15,12 @@ records and a no-steal buffer policy (so no undo pass is ever needed):
    as needed and re-stamping each page's checksum.  Before overwriting, the
    existing page is checksum-verified — a mismatch is a detected torn write,
    repaired by the logged image.
-4. The catalog snapshot of the newest ``COMMIT`` (or, failing that, the
-   checkpoint) becomes the recovered catalog.
+4. **Fold** the catalog: start from the newest full snapshot (the
+   checkpoint, or a full-snapshot ``COMMIT`` after it) and fold every
+   later committed delta into it in LSN order
+   (:func:`repro.catalog.delta.fold`).  The result becomes the recovered
+   catalog.  Deltas carry no index statistics; reopen re-derives them
+   while it rebuilds the indexes.
 
 Recovery is idempotent: crashing during recovery and re-running it reaches
 the same state, because redo writes are pure functions of the log.
@@ -28,6 +32,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.catalog.delta import catalog_state, fold, is_delta, table_states
+from repro.errors import WalError
 from repro.obs import METRICS
 from repro.storage.page import checksum_ok, stamp_checksum
 from repro.storage.pagedfile import PagedFile
@@ -117,9 +123,14 @@ def recover(wal_path: str, file: PagedFile) -> Optional[RecoveryResult]:
     for index, record in enumerate(records):
         if record.type == REC_CHECKPOINT:
             start = index
-            result.checkpoint_found = True
-            result.catalog_state = decode_catalog(record.payload)
     tail = records[start:]
+    # the newest full catalog snapshot, and (once a delta arrives) its
+    # tables with the later deltas folded in
+    base: Any = None
+    tables: Optional[dict] = None
+    if tail[0].type == REC_CHECKPOINT:
+        result.checkpoint_found = True
+        base = decode_catalog(tail[0].payload)
 
     winners = {r.txn for r in tail if r.type == REC_COMMIT}
     losers = sorted(
@@ -131,7 +142,18 @@ def recover(wal_path: str, file: PagedFile) -> Optional[RecoveryResult]:
 
     for record in tail:
         if record.type == REC_COMMIT and record.txn in winners:
-            result.catalog_state = decode_catalog(record.payload)
+            payload = decode_catalog(record.payload)
+            if not is_delta(payload):
+                base, tables = payload, None
+            else:
+                if tables is None:
+                    if base is None:
+                        raise WalError(
+                            f"COMMIT delta at LSN {record.lsn} has no full "
+                            "catalog snapshot to fold onto"
+                        )
+                    tables = table_states(base)
+                fold(tables, payload)
         if record.type == REC_GC_WATERMARK:
             result.gc_watermark = decode_gc_watermark(record.payload)
         if record.type != REC_PAGE_IMAGE or record.txn not in winners:
@@ -141,6 +163,7 @@ def recover(wal_path: str, file: PagedFile) -> Optional[RecoveryResult]:
             result.torn_pages_repaired += 1
         result.pages_replayed += 1
 
+    result.catalog_state = base if tables is None else catalog_state(tables)
     if result.pages_replayed:
         file.sync()
     if METRICS.enabled:

@@ -529,3 +529,21 @@ def test_server_begin_snapshot():
         server.shutdown()
         server.server_close()
         db.close()
+
+
+@pytest.mark.xfail(
+    raises=ExecutionError,
+    strict=True,
+    reason="known defect (ROADMAP item 4(c)): copy-on-write moves the "
+    "object to a new root TID after the first element, and the second "
+    "element's update still addresses the old one",
+)
+def test_partial_update_of_two_elements_of_one_object():
+    db = Database(mvcc=True)
+    db.execute("CREATE TABLE NEST (K INT, KIDS TABLE OF (X INT, TAG STRING))")
+    db.insert("NEST", {"K": 1, "KIDS": [{"X": 0, "TAG": "a"}, {"X": 1, "TAG": "b"}]})
+    db.execute(
+        "UPDATE y FROM x IN NEST, y IN x.KIDS SET TAG = 'u' WHERE x.K = 1"
+    )
+    rows = db.query("SELECT y.TAG FROM x IN NEST, y IN x.KIDS").to_plain()
+    assert rows == [{"TAG": "u"}, {"TAG": "u"}]

@@ -253,6 +253,99 @@ def test_index_follows_replication(primary):
         replica.close()
 
 
+def _catalog_without_stats(db):
+    # index statistics are incrementally maintained on the primary and
+    # re-derived by every replica rebuild (max_posting_list is a
+    # high-water mark), so they may differ; everything else must match
+    state = db._catalog_state()
+    for table_state in state["tables"]:
+        for index_state in table_state["indexes"]:
+            index_state.pop("stats")
+    return state
+
+
+def test_replica_folds_commit_deltas_into_the_primary_catalog(
+    primary, monkeypatch
+):
+    db, server = primary
+    db.execute("CREATE TABLE OTHER (ID INT)")
+    db.execute("INSERT INTO OTHER VALUES (1)")
+    tids = db.insert_many(
+        "T", ({"ID": i, "NAME": f"n{i}"} for i in range(10_000))
+    )
+    db.create_index("IDX_T_ID", "T", "ID")
+
+    batches = []  # (message type, tables the payload names, tables rebuilt)
+    real_apply = repro.replication.apply_batch
+
+    def recording_apply(replica_db, message):
+        catalog = message["catalog"]
+        named = None
+        if message["type"] == "commit":
+            named = (
+                set(catalog.get("tables", {}))
+                | set(catalog.get("dropped", ()))
+                | {ts["segment"]["name"] for ts in catalog.get("full", ())}
+            )
+        rebuilt = []
+        real_restore = replica_db._restore_table_entry
+
+        def restore(table_state, current_only=False):
+            rebuilt.append(table_state["segment"]["name"])
+            return real_restore(table_state, current_only=current_only)
+
+        replica_db._restore_table_entry = restore
+        try:
+            real_apply(replica_db, message)
+        finally:
+            del replica_db._restore_table_entry
+        batches.append((message["type"], named, rebuilt))
+
+    monkeypatch.setattr(repro.replication, "apply_batch", recording_apply)
+    replica = _replica_of(server)
+    try:
+        assert _wait_for(lambda: _safe_ids(replica) is not None, timeout=30)
+        # DDL ships T in full: the replica rebuilds it and keeps the
+        # primary's table order
+        db.create_index("IDX_T_NAME", "T", "NAME")
+        # programmatic writes by TID: SQL UPDATE/DELETE would scan all
+        # 10k rows on the primary for each statement
+        next_id = 10_000
+        for step in range(200):
+            kind = step % 4
+            if kind in (0, 1):
+                db.insert("T", {"ID": next_id, "NAME": "new"})
+                next_id += 1
+            elif kind == 2:
+                db.update("T", tids[step * 7], {"NAME": f"u{step}"})
+            else:
+                db.delete("T", tids[step * 11])
+        _sync(db, replica)
+        assert _catalog_without_stats(replica) == _catalog_without_stats(db)
+
+        def by_id(key):  # answered through the replica's IDX_T_ID
+            rows = replica.query(f"SELECT t.NAME FROM t IN T WHERE t.ID = {key}")
+            return [r["NAME"] for r in rows.to_plain()]
+
+        assert by_id(14) == ["u2"]  # updated in place
+        assert by_id(33) == []  # deleted
+        assert by_id(10_099) == ["new"]  # inserted
+        assert by_id(5) == ["n5"]  # untouched
+        rows = replica.query("SELECT t.ID FROM t IN T WHERE t.NAME = 'u2'")
+        assert rows.to_plain() == [{"ID": 14}]  # through IDX_T_NAME
+    finally:
+        replica.close()
+
+    commits = [b for b in batches if b[0] == "commit"]
+    assert len(commits) == 201
+    assert commits[0][1:] == ({"T"}, ["T"])
+    for _kind, named, rebuilt in commits[1:]:
+        # every write names T, the only table it wrote to (the in-place
+        # UPDATEs too, so the replica's index follows them); its TID ops
+        # apply in place, so no batch rebuilds a table
+        assert named == {"T"} and rebuilt == []
+
+
 # -- promotion -------------------------------------------------------------
 
 
