@@ -1,13 +1,12 @@
-"""Ablation A14 — compiled execution vs the interpreted AST walker.
+"""Ablation A14 — the execution core's three structural wins, gated on
+exact work counters.
 
-ROADMAP item 2: the interpreted executor re-walks the statement AST for
-every row.  The compiled core (``repro.query.compile``) turns each
-statement into Python closures once — cached by AST fingerprint — and
-adds three structural wins on top:
+The executor compiles each statement into Python closures once (cached
+by AST fingerprint) and adds three structural wins on top:
 
 * **columnar flat scans** — a flat-table scan decodes heap tuples in
-  batches (``Database.scan_chunks``) and builds tuple objects only for
-  qualifying rows;
+  batches of 256 (``Database.scan_chunks``) and builds tuple objects only
+  for qualifying rows;
 * **settled conjuncts** — WHERE conjuncts the planner answered from
   index information alone (Section 4.2) are dropped from the residual
   predicate instead of being re-tested per row;
@@ -18,35 +17,40 @@ adds three structural wins on top:
 Three workloads, one per win, at scale ``REPRO_EXEC_SCALE`` (default 32):
 
 * **A1-style** — flat scan + filter + ORDER BY over ``scale * 100``
-  heap tuples (the columnar path).
+  heap tuples: exactly ``ceil(rows / 256)`` columnar chunks.
 * **A3-style** — the Section 4.2 conjunctive query ("project *p* with a
   consultant in project *p*") over DEPARTMENTS, answered by two
-  hierarchical indexes whose shared binding prefix settles *both*
-  conjuncts.
-* **A6-style** — nested-predicate candidates + root-atomic projection:
-  an indexed root predicate settles, and lazy decode skips both
-  subtable hierarchies entirely.
+  hierarchical indexes whose shared binding prefix settles the conjunct.
+* **A6-style** — an indexed root predicate settles, and lazy decode
+  skips both subtable hierarchies.
 
-Both engines must return identical results (values *and* row order);
-each workload's compiled/interpreted speedup must be at least
-``REPRO_EXEC_MIN_SPEEDUP`` (default 3.0).  Emits ``ablation_exec.txt``
-and ``BENCH_exec.json`` into ``benchmarks/out/``.
+A3 and A6 must settle their one conjunct, evaluate no residual
+predicate, and decode exactly one data subtuple (the root's) per row
+emitted.  The counters are deterministic, so the gates are exact.  Each
+result must also match the reference evaluator (``tests/oracle.py``).
+Emits ``ablation_exec.txt`` and ``BENCH_exec_gates.json`` into
+``benchmarks/out/``; ``BENCH_exec.json`` there keeps the historical
+speedups over the row-at-a-time interpreter this executor replaced.
 """
 
+import math
 import os
 import time
+from collections import Counter
 
 from repro.database import Database
 from repro.datasets import DepartmentsGenerator, paper
+from repro.obs import METRICS
 
 from _bench_utils import emit, emit_json
+from tests import oracle
 
 SCALE = int(os.environ.get("REPRO_EXEC_SCALE", "32"))
 ITERATIONS = int(os.environ.get("REPRO_EXEC_ITERATIONS", "10"))
 ROUNDS = int(os.environ.get("REPRO_EXEC_ROUNDS", "3"))
-MIN_SPEEDUP = float(os.environ.get("REPRO_EXEC_MIN_SPEEDUP", "3.0"))
 
 FLAT_ROWS = SCALE * 100
+CHUNK_ROWS = 256  # Database.scan_chunks' default batch
 
 WORKLOAD = DepartmentsGenerator(
     departments=SCALE * 4, projects_per_department=4, members_per_project=6,
@@ -88,50 +92,53 @@ def build() -> Database:
     return db
 
 
-def _canonical(result) -> list:
-    """Row order matters: the engines must agree on it, not just on the
-    multiset of rows."""
-    return [row.canonical() for row in result.rows]
+def counted(db: Database, sql: str) -> tuple[dict, list]:
+    """One execution's engine counter deltas and its canonical rows."""
+    was_enabled = METRICS.enabled
+    METRICS.enable()
+    try:
+        before = METRICS.totals()
+        result = db.query(sql)
+        return METRICS.delta(before), [row.canonical() for row in result.rows]
+    finally:
+        METRICS.enabled = was_enabled
 
 
-def time_queries(db: Database, mode: str) -> tuple[dict, dict]:
-    """min-of-rounds ms/query per workload, plus canonical results."""
-    db.exec_mode = mode
-    timings = {}
-    outputs = {}
-    for name, sql in QUERIES.items():
-        outputs[name] = _canonical(db.query(sql))  # warm + capture
-        best = float("inf")
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            for _ in range(ITERATIONS):
-                db.query(sql)
-            best = min(best, time.perf_counter() - start)
-        timings[name] = best / ITERATIONS * 1000.0
-    return timings, outputs
+def best_ms(db: Database, sql: str) -> float:
+    """min-of-rounds ms per execution."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for _ in range(ITERATIONS):
+            db.query(sql)
+        best = min(best, time.perf_counter() - start)
+    return best / ITERATIONS * 1000.0
 
 
 def test_exec_ablation():
-    db = Database()  # results/plumbing probe before the timed run
+    db = build()
     try:
-        db = build()
-        interp_ms, interp_out = time_queries(db, "interpreted")
-        compiled_ms, compiled_out = time_queries(db, "compiled")
-
-        # identical results — values and order — before any speed claims
-        for name in QUERIES:
-            assert compiled_out[name] == interp_out[name], (
-                f"{name}: compiled and interpreted engines disagree"
-            )
-            assert interp_out[name], f"{name}: empty result measures nothing"
-
-        # the compiled engine must actually be exercising its machinery
-        report = db._executor.exec_report
-        assert report is not None and report.mode == "compiled"
-
-        speedup = {
-            name: interp_ms[name] / compiled_ms[name] for name in QUERIES
-        }
+        counters: dict = {}
+        rows: dict = {}
+        timings: dict = {}
+        for name, sql in QUERIES.items():
+            db.query(sql)  # warm: compile and cache the statement
+            delta, result = counted(db, sql)
+            expected, _total = oracle.query(db, sql)
+            assert Counter(result) == Counter(expected), name
+            assert result, f"{name}: an empty result measures nothing"
+            counters[name] = {
+                key: delta.get(key, 0)
+                for key in (
+                    "exec.columnar_chunks",
+                    "exec.settled_conjuncts",
+                    "query.predicate_evals",
+                    "query.rows_emitted",
+                    "storage.data_subtuple_decodes",
+                )
+            }
+            rows[name] = len(result)
+            timings[name] = best_ms(db, sql)
 
         lines = [
             f"scale {SCALE}: {FLAT_ROWS} flat tuples, "
@@ -140,36 +147,42 @@ def test_exec_ablation():
             f"{WORKLOAD.members_per_project} members; "
             f"{ITERATIONS} iterations x {ROUNDS} rounds (min)",
             "",
-            f"  {'workload':>20} {'interp ms':>10} {'compiled ms':>12} "
-            f"{'speedup':>8} {'rows':>6}",
+            f"  {'workload':>20} {'ms':>8} {'rows':>6} {'chunks':>7} "
+            f"{'settled':>8} {'evals':>6} {'decodes':>8}",
         ]
         for name in QUERIES:
+            c = counters[name]
             lines.append(
-                f"  {name:>20} {interp_ms[name]:>10.3f} "
-                f"{compiled_ms[name]:>12.3f} {speedup[name]:>7.2f}x "
-                f"{len(interp_out[name]):>6}"
+                f"  {name:>20} {timings[name]:>8.3f} {rows[name]:>6} "
+                f"{c['exec.columnar_chunks']:>7g} "
+                f"{c['exec.settled_conjuncts']:>8g} "
+                f"{c['query.predicate_evals']:>6g} "
+                f"{c['storage.data_subtuple_decodes']:>8g}"
             )
-        lines.append("")
-        lines.append(f"floor per workload: {MIN_SPEEDUP}x")
         emit("ablation_exec", "\n".join(lines))
         emit_json(
-            "BENCH_exec",
+            "BENCH_exec_gates",
             {
                 "scale": SCALE,
                 "flat_rows": FLAT_ROWS,
                 "iterations": ITERATIONS,
                 "rounds": ROUNDS,
-                "interpreted_ms": {k: round(v, 4) for k, v in interp_ms.items()},
-                "compiled_ms": {k: round(v, 4) for k, v in compiled_ms.items()},
-                "speedup": {k: round(v, 3) for k, v in speedup.items()},
-                "min_speedup": MIN_SPEEDUP,
+                "ms": {k: round(v, 4) for k, v in timings.items()},
+                "rows": rows,
+                "counters": counters,
             },
         )
 
-        for name in QUERIES:
-            assert speedup[name] >= MIN_SPEEDUP, (
-                f"{name}: compiled engine reached only {speedup[name]:.2f}x "
-                f"the interpreted baseline (required {MIN_SPEEDUP}x)"
+        a1 = counters["a1_flat_scan"]
+        assert a1["exec.columnar_chunks"] == math.ceil(FLAT_ROWS / CHUNK_ROWS)
+        for name in ("a3_conjunctive", "a6_root_projection"):
+            c = counters[name]
+            assert c["exec.settled_conjuncts"] == 1, name
+            assert c["query.predicate_evals"] == 0, name
+            assert c["query.rows_emitted"] == rows[name], name
+            assert c["storage.data_subtuple_decodes"] == rows[name], (
+                f"{name}: {c['storage.data_subtuple_decodes']} data subtuple "
+                f"decodes for {rows[name]} rows (one root subtuple per row)"
             )
     finally:
         db.close()

@@ -63,6 +63,7 @@ from repro.obs.slo import SloEngine
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.sysviews import is_sys_table, iterate_sys_view, sys_view_schema
 from repro.query import ast
+from repro.query.compile import _compile_expression, _compile_predicate
 from repro.query.executor import Executor
 from repro.query.parser import parse_statement
 from repro.query.planner import (
@@ -181,13 +182,6 @@ class Database:
         #: kept for A/B ablation — see benchmarks/test_ablation_planner.py
         #: and docs/PLANNER.md)
         self.planner_mode = "cost"
-        #: execution engine: ``"compiled"`` (statements compile once into
-        #: Python closures, flat scans batch into columnar chunks, complex
-        #: objects decode lazily — the default; see docs/EXECUTOR.md) or
-        #: ``"interpreted"`` (the row-at-a-time AST walker, kept as the
-        #: byte-identical A/B baseline).  Overridable per process via the
-        #: ``REPRO_EXEC_MODE`` environment variable.
-        self.exec_mode = os.environ.get("REPRO_EXEC_MODE", "compiled")
         #: bumped by every DDL statement (CREATE/DROP/ALTER TABLE) —
         #: compiled statement plans are stamped with the epoch they were
         #: built under and recompile when it moves
@@ -1527,14 +1521,11 @@ class Database:
                 )
             exec_report = self._executor.exec_report
             if exec_report is not None:
-                cache = (
-                    f"  plan cache: {exec_report.cache}"
-                    if exec_report.cache is not None
-                    else ""
-                )
+                cache = exec_report.cache
                 lines.append(
-                    f"  exec: mode={exec_report.mode}{cache}"
-                    f"  settled conjuncts: {exec_report.settled_conjuncts}"
+                    "  exec: "
+                    + (f"plan cache: {cache}  " if cache is not None else "")
+                    + f"settled conjuncts: {exec_report.settled_conjuncts}"
                     f"  columnar chunks: {exec_report.columnar_chunks}"
                 )
             plan = self.last_plan
@@ -1619,17 +1610,21 @@ class Database:
     def _execute_update(self, statement: ast.UpdateStatement) -> int:
         entry = self.catalog.table(statement.table)
         matches = self._match_tuples(entry, statement.var, statement.where)
+        assignments = [
+            (name, _compile_expression(expr))
+            for name, expr in statement.assignments
+        ]
         for tid, row in matches:
             env = {statement.var: row}
             changes = {}
-            for name, expr in statement.assignments:
+            for name, value_of in assignments:
                 attr = entry.schema.attribute(name)
                 if not attr.is_atomic:
                     raise ExecutionError(
                         f"UPDATE assigns atomic attributes; {name!r} is a "
                         "subtable (use the partial-update API)"
                     )
-                changes[name] = self._executor._eval_expression(expr, env)
+                changes[name] = value_of(self._executor, env)
             self.update(statement.table, tid, changes)
         return len(matches)
 
@@ -1653,10 +1648,11 @@ class Database:
             tids = list(_mvcc_read.snapshot_roots(entry, snapshot))
         else:
             tids = entry.tids.as_list()
+        test = None if where is None else _compile_predicate(where)
         out = []
         for tid in tids:
             row = self._fetch(entry, tid)
-            if where is None or self._executor._eval_predicate(where, {var: row}):
+            if test is None or test(self._executor, {var: row}):
                 out.append((tid, row))
         return out
 
@@ -1700,7 +1696,6 @@ class Database:
             return iterate_sys_view(self, name)
         entry = self.catalog.table(name)
         self.last_plan = None
-        lazy = self.exec_mode == "compiled"
         if self.use_access_paths and asof is None and entry.indexes:
             with TRACER.span("plan", table=name, var=var) as span:
                 groups = extract_condition_groups(query, var)
@@ -1747,13 +1742,13 @@ class Database:
                     # values between our index probe and its S-lock) —
                     # candidates stay a superset, nothing is settled.
                     report.settled = []
-                return self._stream_candidates(entry, name, roots, lazy)
+                return self._stream_candidates(entry, name, roots)
         if METRICS.enabled:
             METRICS.inc("query.scan_plans")
-        return self.iterate_table(name, asof, lazy=lazy)
+        return self.iterate_table(name, asof, lazy=True)
 
     def _stream_candidates(
-        self, entry: TableEntry, name: str, roots: Iterable[TID], lazy: bool
+        self, entry: TableEntry, name: str, roots: Iterable[TID]
     ) -> Iterator[TupleValue]:
         """Fetch planner candidates under the session's concurrency regime
         (MVCC snapshot visibility probe, or per-object 2PL S-locks)."""
@@ -1767,9 +1762,7 @@ class Database:
                     yield self._fetch(entry, tid)
             return
         self._lock_table(name, LockMode.IS)
-        lazy = (
-            lazy and not entry.is_flat and entry.temporal_manager is None
-        )
+        lazy = not entry.is_flat and entry.temporal_manager is None
         for tid in roots:
             if tid in entry.tids:
                 # S-lock each candidate object (the paper's local
@@ -1946,7 +1939,7 @@ class Database:
         if entry.is_flat:
             return entry.heap.fetch(tid)  # type: ignore[union-attr]
         if lazy:
-            # compiled execution: decode the structure (MD subtuples) now,
+            # query execution: decode the structure (MD subtuples) now,
             # data subtuples only when a predicate or projection touches
             # them — index-settled conjuncts never fetch data pages
             return entry.manager.load_lazy(tid, entry.schema)  # type: ignore[union-attr]

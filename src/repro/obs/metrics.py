@@ -39,6 +39,12 @@ def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def label_selects(key: LabelKey, selector: LabelKey) -> bool:
+    """A series matches a selector when its labels include the
+    selector's; the empty selector matches every series."""
+    return set(selector) <= set(key)
+
+
 def _label_str(key: LabelKey) -> str:
     return ",".join(f"{k}={v}" for k, v in key)
 
@@ -282,14 +288,18 @@ class Histogram:
                 )
             return out
 
-    def combined(self) -> dict:
-        """One summary across all labeled series (shell ``.stats``)."""
+    def combined(self, labels: Optional[dict] = None) -> dict:
+        """One summary across the labeled series whose labels include
+        *labels* — all of them by default (shell ``.stats``)."""
+        selector = _label_key(labels or {})
         count = 0
         total = 0.0
         low: Optional[float] = None
         high: Optional[float] = None
         bucket_counts = [0] * (len(self.buckets) + 1)
-        for _key, snap in self.series():
+        for key, snap in self.series():
+            if not label_selects(key, selector):
+                continue
             count += snap["count"]
             total += snap["sum"]
             if snap["min"] is not None:
@@ -313,7 +323,14 @@ class Histogram:
         Linear interpolation inside the covering bucket; the overflow
         bucket is clamped to the observed maximum instead of reporting
         ``inf`` (see :func:`interpolated_quantile`)."""
-        combined = self.combined()
+        return self.quantile_for({}, q)
+
+    def quantile_for(self, labels: dict, q: float) -> Optional[float]:
+        """Interpolated quantile over the series whose labels include
+        *labels*, their bucket counts combined (``None`` when no series
+        matches) — an SLO on ``kind=SELECT`` covers every table's
+        ``{kind=SELECT, table=...}`` series."""
+        combined = self.combined(labels)
         return interpolated_quantile(
             self.buckets,
             combined["bucket_counts"],
@@ -321,22 +338,6 @@ class Histogram:
             combined["min"],
             combined["max"],
             q,
-        )
-
-    def quantile_for(self, labels: dict, q: float) -> Optional[float]:
-        """Interpolated quantile of **one** labeled series (``None`` when
-        the series does not exist) — SLO objectives target a single
-        series (e.g. ``kind=SELECT``), not the combined view."""
-        with self._lock:
-            series = self._series.get(_label_key(labels or {}))
-            if series is None:
-                return None
-            bucket_counts = list(series.bucket_counts)
-            count = series.count
-            low = series.min
-            high = series.max
-        return interpolated_quantile(
-            self.buckets, bucket_counts, count, low, high, q
         )
 
     def reset(self) -> None:

@@ -36,7 +36,12 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs.metrics import METRICS, _label_key, interpolated_quantile
+from repro.obs.metrics import (
+    METRICS,
+    _label_key,
+    interpolated_quantile,
+    label_selects,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import Database
@@ -298,22 +303,15 @@ class TimeSeriesRecorder:
                 }
 
     def _matching(self, kind: str, name: str, labels: Optional[dict]) -> list:
-        """Raw-tier sample lists of the matching series.  Non-empty
-        *labels* select exactly one series; empty/None labels aggregate
-        **all** label combinations of the metric (the "no labels = the
-        whole metric" convention of ``METRICS.totals()``)."""
+        """Raw-tier sample lists of the series of the metric whose labels
+        include *labels* (empty/None labels match every series — the "no
+        labels = the whole metric" convention of ``METRICS.totals()``)."""
+        selector = _label_key(labels or {})
         with self._latch:
-            if labels:
-                series = self._series.get((kind, name, _label_key(labels)))
-                found = [series] if series is not None else []
-            else:
-                found = [
-                    series
-                    for (k, n, _key), series in self._series.items()
-                    if k == kind and n == name
-                ]
             return [
-                (series, list(series.tiers[0])) for series in found
+                (series, list(series.tiers[0]))
+                for (k, n, key), series in self._series.items()
+                if k == kind and n == name and label_selects(key, selector)
             ]
 
     @staticmethod

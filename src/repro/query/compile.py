@@ -1,16 +1,16 @@
-"""The compiled execution core: statements become Python closures.
+"""The execution core: statements become Python closures.
 
-The interpreted executor re-walks the AST for every row — every WHERE
-evaluation re-dispatches on node types, every path re-parses its steps,
-every projection re-discovers its shape.  This module compiles a
-statement **once** into a tree of closures keyed by its AST fingerprint
-(the frozen :class:`repro.query.ast.Query` is hashable, so the statement
-itself is the cache key): predicates become functions, paths become
-specialized attribute getters, and the row loop becomes a tight
-recursion that mutates a single environment dict instead of copying it
-per row (safe — the binder rejects all variable shadowing).
+Every statement is compiled **once** into a tree of closures keyed by its
+AST fingerprint (the frozen :class:`repro.query.ast.Query` is hashable, so
+the statement itself is the cache key): predicates become functions,
+paths become specialized attribute getters, and the row loop becomes a
+tight recursion that mutates a single environment dict instead of copying
+it per row (safe — the binder rejects all variable shadowing).  DML row
+selection and SET expressions use the same closures
+(``_compile_predicate`` / ``_compile_expression``), compiled once
+per statement execution.
 
-Three further wins ride on the compiled shape (ROADMAP item 2):
+Three further wins ride on the compiled shape:
 
 * **Settled conjuncts** — the planner reports WHERE conjuncts whose
   index decomposition was lossless (``PlanReport.settled``); compiled
@@ -26,10 +26,8 @@ Three further wins ride on the compiled shape (ROADMAP item 2):
   :class:`repro.storage.lazy.LazyTupleValue`; data subtuples of parts
   the residual predicate and projection never touch are never read.
 
-Statement shapes the compiler does not handle raise
-:class:`CompileError`; the executor falls back to the interpreter (the
-two engines are A/B comparable via ``db.exec_mode`` and must return
-byte-identical results — see tests/test_compile.py).
+Results are checked against ``tests/oracle.py``, a plain nested-loop
+evaluator over materialized tables (see docs/EXECUTOR.md).
 """
 
 from __future__ import annotations
@@ -44,16 +42,13 @@ from repro.query import ast
 from repro.query.binder import Scope
 from repro.query.executor import (
     Executor,
+    _aggregate,
     _compile_mask,
     _retag_table,
     _sortable,
     _unwrap_single_attribute,
     compare,
 )
-
-
-class CompileError(Exception):
-    """The statement shape is not compilable — interpret instead."""
 
 
 #: sentinel: a join-candidate getter whose variable is not bound yet
@@ -65,11 +60,8 @@ _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def compile_query(executor: Executor, query: ast.Query) -> "CompiledQuery":
-    """Compile *query* against the top-level scope.
-
-    Binding errors propagate unchanged (they are user errors, identical
-    in both engines); :class:`CompileError` means "interpret this one".
-    """
+    """Compile *query* against the top-level scope (binding errors
+    propagate unchanged — they are user errors)."""
     schema = executor._result_schema(query, Scope())
     return CompiledQuery(executor, query, schema)
 
@@ -79,12 +71,21 @@ def compile_query(executor: Executor, query: ast.Query) -> "CompiledQuery":
 # ---------------------------------------------------------------------------
 
 
+def _path_steps(path: ast.Path) -> tuple[tuple[Optional[str], Optional[int]], ...]:
+    """``(name, 0-based subscript)`` per step (the language is 1-based)."""
+    return tuple(
+        (step.name, None if step.subscript is None else step.subscript - 1)
+        for step in path.steps
+    )
+
+
 def _compile_path(path: ast.Path) -> Callable[[Executor, dict], Any]:
     var = path.var
-    steps = path.steps
-    if len(steps) == 1 and steps[0].name is not None and steps[0].subscript is None:
+    steps = _path_steps(path)
+    dotted = path.dotted()
+    if len(steps) == 1 and steps[0][0] is not None and steps[0][1] is None:
         # the overwhelmingly common shape: one plain attribute step
-        name = steps[0].name
+        name = steps[0][0]
 
         def get_attr(ex: Executor, env: dict) -> Any:
             try:
@@ -94,43 +95,117 @@ def _compile_path(path: ast.Path) -> Callable[[Executor, dict], Any]:
             if row is None:
                 return None
             if not isinstance(row, TupleValue):
-                raise ExecutionError(f"cannot select {name!r} in {path.dotted()!r}")
+                raise ExecutionError(f"cannot select {name!r} in {dotted!r}")
             return row[name]
 
         return get_attr
 
-    if not steps:
-
-        def get_var(ex: Executor, env: dict) -> Any:
-            try:
-                return env[var]
-            except KeyError:
-                raise ExecutionError(f"unbound tuple variable {var!r}") from None
-
-        return get_var
-
-    # general shape: defer to the interpreter's path walker (it handles
-    # NULL propagation and 1-based subscripts); still no AST re-dispatch
-    # above this node
     def get_path(ex: Executor, env: dict) -> Any:
-        return ex._eval_path(path, env)
+        # NULL propagates: a step on NULL, or a subscript past the end,
+        # yields NULL
+        try:
+            current = env[var]
+        except KeyError:
+            raise ExecutionError(f"unbound tuple variable {var!r}") from None
+        for name, index in steps:
+            if name is not None:
+                if current is None:
+                    return None
+                if not isinstance(current, TupleValue):
+                    raise ExecutionError(f"cannot select {name!r} in {dotted!r}")
+                current = current[name]
+            if index is not None:
+                if current is None:
+                    return None
+                if not isinstance(current, TableValue):
+                    raise ExecutionError(
+                        f"subscript in {dotted!r} applies to a table"
+                    )
+                current = current[index] if 0 <= index < len(current) else None
+        return current
 
     return get_path
 
 
+def _compile_flattened_path(path: ast.Path) -> Callable[[Executor, dict], list]:
+    """An aggregate's argument: a name step applied to a table applies to
+    each of its tuples, so ``x.PROJECTS.MEMBERS.EMPNO`` yields every
+    member number of the department."""
+    var = path.var
+    steps = _path_steps(path)
+    dotted = path.dotted()
+
+    def values(ex: Executor, env: dict) -> list:
+        try:
+            current = [env[var]]
+        except KeyError:
+            raise ExecutionError(f"unbound tuple variable {var!r}") from None
+        for name, index in steps:
+            if name is not None:
+                selected: list = []
+                for value in current:
+                    if value is None:
+                        continue
+                    if isinstance(value, TableValue):
+                        selected.extend(row[name] for row in value.rows)
+                    elif isinstance(value, TupleValue):
+                        selected.append(value[name])
+                    else:
+                        raise ExecutionError(
+                            f"cannot select {name!r} in {dotted!r}"
+                        )
+                current = selected
+            if index is not None:
+                current = [
+                    value[index]
+                    if isinstance(value, TableValue) and 0 <= index < len(value)
+                    else None
+                    for value in current
+                ]
+        return current
+
+    return values
+
+
+def _compile_aggregate(expr: ast.Aggregate) -> Callable[[Executor, dict], Any]:
+    function = expr.function
+    if isinstance(expr.argument, ast.Path):
+        values = _compile_flattened_path(expr.argument)
+        return lambda ex, env: _aggregate(function, values(ex, env))
+    argument = _compile_expression(expr.argument)
+    return lambda ex, env: _aggregate(function, [argument(ex, env)])
+
+
+def _compile_subquery(query: ast.Query) -> Callable[[Executor, dict], TableValue]:
+    """An expression-position sub-SELECT.  Its scope is the enclosing
+    statement's variables, the same at every evaluation, so it binds and
+    compiles on first use and the plan serves every later evaluation."""
+    plan: Optional[CompiledQuery] = None
+
+    def run(ex: Executor, env: dict) -> TableValue:
+        nonlocal plan
+        if plan is None:
+            scope = Scope()
+            for var, row in env.items():
+                scope.define(var, row.schema)
+            plan = CompiledQuery(ex, query, ex._result_schema(query, scope))
+        return plan.execute(ex, env)
+
+    return run
+
+
 def _compile_expression(expr: ast.Expression) -> Callable[[Executor, dict], Any]:
+    """``fn(executor, env) -> value`` for one expression."""
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda ex, env: value
     if isinstance(expr, ast.Path):
         return _compile_path(expr)
     if isinstance(expr, ast.Aggregate):
-        return lambda ex, env: ex._eval_aggregate(expr, env)
+        return _compile_aggregate(expr)
     if isinstance(expr, ast.Query):
-        # expression-position subquery: scope depends on the runtime env,
-        # so binding happens per evaluation exactly as interpreted
-        return lambda ex, env: ex._eval_expression(expr, env)
-    raise CompileError(f"unhandled expression {expr!r}")
+        return _compile_subquery(expr)
+    raise ExecutionError(f"unhandled expression {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +214,7 @@ def _compile_expression(expr: ast.Expression) -> Callable[[Executor, dict], Any]
 
 
 def _compile_predicate(pred: ast.Predicate) -> Callable[[Executor, dict], bool]:
+    """``fn(executor, env) -> bool`` for one predicate."""
     if isinstance(pred, ast.BoolOp):
         fns = tuple(_compile_predicate(p) for p in pred.operands)
         if pred.op == "AND":
@@ -181,7 +257,7 @@ def _compile_predicate(pred: ast.Predicate) -> Callable[[Executor, dict], bool]:
         right = _compile_expression(pred.right)
         op = pred.op
         return lambda ex, env: compare(op, left(ex, env), right(ex, env))
-    raise CompileError(f"unhandled predicate {pred!r}")
+    raise ExecutionError(f"unhandled predicate {pred!r}")
 
 
 def _and_all(
@@ -203,8 +279,8 @@ def _compile_quantifier(pred: ast.Quantifier) -> Callable[[Executor, dict], bool
     body_fn = _compile_predicate(pred.body)
     var = pred.var
     exists = pred.kind == "EXISTS"
-    # parity with the interpreter: only EXISTS hands its body to the
-    # provider for index-nested-loop candidates
+    # only EXISTS hands its body to the provider for index-nested-loop
+    # candidates (under ALL a probe would skip the rows that falsify it)
     crange = _CompiledRange(
         ast.Range(var=var, source=pred.source),
         pred.body if exists else None,
@@ -242,8 +318,8 @@ def _compile_quantifier(pred: ast.Quantifier) -> Callable[[Executor, dict], bool
 def _join_candidates(
     var: str, where: Optional[ast.Predicate]
 ) -> tuple[tuple[str, Callable[[Executor, dict], Any]], ...]:
-    """Pre-resolved index-nested-loop probes, mirroring the interpreter's
-    ``_join_lookup`` conjunct scan order exactly."""
+    """Pre-resolved index-nested-loop probes: equality conjuncts
+    ``var.ATTR = <literal or bound path>``, in conjunct order."""
     if where is None:
         return ()
     from repro.query.planner import _flatten_and
@@ -377,8 +453,7 @@ def _compile_projection(
                     value = _retag_table(value, table_schema)
             values[name] = value
         # the validated constructor on purpose: select items coerce (an
-        # INT literal into a FLOAT output column) and error exactly like
-        # the interpreted projection
+        # INT literal into a FLOAT output column)
         return TupleValue(schema, values)
 
     return project
@@ -883,8 +958,8 @@ class CompiledQuery:
     def _finish(
         self, result: TableValue, keys_out: list[tuple], sort_elided: bool
     ) -> None:
-        """Shared ORDER BY / DISTINCT epilogue — the same algorithms (and
-        metric) as the interpreted executor, so row order is identical."""
+        """Shared ORDER BY / DISTINCT epilogue of the row and columnar
+        loops: a stable multi-key sort, then first-occurrence DISTINCT."""
         query = self.query
         if query.order_by:
             if sort_elided:

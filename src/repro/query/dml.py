@@ -32,6 +32,7 @@ from repro.errors import ExecutionError
 from repro.model.schema import TableSchema
 from repro.model.values import TupleValue
 from repro.query import ast
+from repro.query.compile import _compile_expression, _compile_predicate
 from repro.storage.tid import TID
 
 if TYPE_CHECKING:
@@ -63,10 +64,12 @@ class PartialDML:
         self, ranges: tuple[ast.Range, ...], where: Optional[ast.Predicate]
     ) -> list[Binding]:
         bindings: list[Binding] = []
+        executor = self._db._executor
+        test = None if where is None else _compile_predicate(where)
 
         def recurse(index: int, env: dict, info: dict) -> None:
             if index == len(ranges):
-                if where is None or self._db._executor._eval_predicate(where, env):
+                if test is None or test(executor, env):
                     bindings.append(Binding(dict(env), dict(info)))
                 return
             range_ = ranges[index]
@@ -193,6 +196,10 @@ class PartialDML:
 
     def execute_update(self, statement: ast.SubUpdateStatement) -> int:
         bindings = self._enumerate(statement.ranges, statement.where)
+        assignments = [
+            (name, _compile_expression(expr))
+            for name, expr in statement.assignments
+        ]
         updated = 0
         for binding in bindings:
             target = binding.info.get(statement.var)
@@ -201,13 +208,13 @@ class PartialDML:
             entry = self._db.catalog.table(target.table)
             element_schema = self._element_schema(entry.schema, target.path)
             changes: dict[str, Any] = {}
-            for name, expr in statement.assignments:
+            for name, value_of in assignments:
                 attr = element_schema.attribute(name)
                 if not attr.is_atomic:
                     raise ExecutionError(
                         f"UPDATE assigns atomic attributes; {name!r} is a subtable"
                     )
-                changes[name] = self._db._executor._eval_expression(expr, binding.env)
+                changes[name] = value_of(self._db._executor, binding.env)
             if not target.path:
                 self._db.update(target.table, target.tid, changes)
             else:

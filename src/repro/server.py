@@ -459,7 +459,10 @@ class AsyncDatabaseServer:
         """Accept statements as fast as the client sends them (the
         pipelining half); the responder drains the queue in order."""
         while not responder.done():
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except ConnectionError:
+                break  # the client reset the connection: same as EOF
             if not raw:
                 break
             line = raw.decode("utf-8", errors="replace").strip()

@@ -54,7 +54,7 @@ def test_join_through_flat_index_reads_fewer_rows():
     assert indexed_reads < scan_reads
 
 
-def test_join_lookup_in_exists_over_stored_table():
+def test_index_join_in_exists_over_stored_table():
     db = indexed_paper_db()
     result = db.query(
         "SELECT x.DNO FROM x IN DEPARTMENTS "
@@ -64,7 +64,7 @@ def test_join_lookup_in_exists_over_stored_table():
     assert result.column("DNO") == [417]
 
 
-def test_join_lookup_on_nf2_table_root_index():
+def test_index_join_on_nf2_table_root_index():
     """The inner table can be an NF2 table with a top-level index."""
     db = Database()
     db.create_table(paper.DEPARTMENTS_SCHEMA)

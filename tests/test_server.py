@@ -7,6 +7,7 @@ silent truncation on mid-payload EOF, executing statements for a dead
 client, and case-sensitive ``.quit``.
 """
 
+import logging
 import socket
 import threading
 import time
@@ -144,10 +145,12 @@ def test_line_client_raises_on_missing_header():
 # -- dead clients ----------------------------------------------------------
 
 
-def test_dead_client_rolls_back_and_stops(served):
+def test_dead_client_rolls_back_and_stops(served, caplog):
     """A client that vanishes (RST) mid-pipeline must not keep its
-    transaction's locks, and the server must stop serving the corpse."""
+    transaction's locks, and the server must stop serving the corpse.
+    The reset is an ordinary hangup: nothing is logged as an error."""
     db, server = served
+    caplog.set_level(logging.ERROR, logger="asyncio")
     host, port = server.address
     sock = socket.create_connection((host, port), timeout=5)
     payload = "BEGIN\n" + "".join(
@@ -169,6 +172,12 @@ def test_dead_client_rolls_back_and_stops(served):
     # and the server still serves new clients
     with LineClient(host, port) as client:
         assert "affected" in client.send("INSERT INTO T VALUES (99, 'alive')")
+    errors = [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert errors == []
 
 
 # -- dot-command case ------------------------------------------------------

@@ -216,6 +216,44 @@ def test_windowed_quantile_sees_only_window_observations():
     db.close()
 
 
+def test_label_subset_selector_combines_matching_series():
+    """A selector matches every series whose labels include it: an SLO
+    on ``kind=SELECT`` covers the ``{kind, table}`` series of both tables,
+    and the empty selector matches everything."""
+    db = Database()
+    METRICS.enable()
+    histogram = METRICS.histogram("lat", buckets=(1, 10, 100))
+    for _ in range(3):
+        histogram.observe(0.5, kind="SELECT", table="A")
+    for _ in range(3):
+        histogram.observe(50, kind="SELECT", table="B")
+    for _ in range(10):
+        histogram.observe(500, kind="INSERT", table="A")
+    db.ts.sample_once(now=100.0)
+    selects = histogram.quantile_for({"kind": "SELECT"}, 0.99)
+    assert selects is not None and 10 < selects <= 50
+    assert histogram.quantile_for({"kind": "SELECT"}, 0.25) < 1.0
+    assert histogram.quantile_for({"table": "B"}, 0.5) == 50
+    assert histogram.quantile_for({"kind": "SELECT", "table": "A"}, 0.5) == 0.5
+    assert histogram.quantile_for({}, 0.99) == histogram.quantile(0.99)
+    assert histogram.quantile_for({"kind": "DELETE"}, 0.5) is None
+    # the recorder's windowed reads follow the same rule
+    windowed = db.ts.windowed_quantile(
+        "lat", {"kind": "SELECT"}, 1000.0, 0.99, now=100.0
+    )
+    assert windowed == selects
+    assert db.ts.windowed_delta(
+        "lat", {"kind": "SELECT"}, 1000.0, kind="histogram", now=100.0
+    ) == 6
+    assert db.ts.windowed_delta(
+        "lat", {}, 1000.0, kind="histogram", now=100.0
+    ) == 16
+    assert db.ts.windowed_quantile(
+        "lat", {"kind": "DELETE"}, 1000.0, 0.5, now=100.0
+    ) is None
+    db.close()
+
+
 # ---------------------------------------------------------------------------
 # tentpole 2: the SLO engine + alert state machine
 # ---------------------------------------------------------------------------
